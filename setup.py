@@ -1,9 +1,8 @@
-"""Setuptools shim.
+"""Setuptools metadata for the ``repro`` package.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so the package can be installed in editable mode on machines whose
-packaging toolchain predates PEP 660 editable wheels (e.g. offline
-environments without the ``wheel`` package):
+This file is the project's only packaging metadata.  It also allows an
+editable install on machines whose packaging toolchain predates PEP 660
+editable wheels (e.g. offline environments without the ``wheel`` package):
 
     pip install -e . --no-use-pep517
     # or
@@ -23,7 +22,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "networkx"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={
         "console_scripts": [

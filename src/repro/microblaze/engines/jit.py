@@ -96,7 +96,9 @@ _CODE_CACHE = BoundedLRU(maxsize=8192)
 #: how many code objects were compiled vs served from :data:`_CODE_CACHE`,
 #: the wall seconds spent translating (source assembly + bytecode compile
 #: + closure bind), and — for the region engine — how many regions were
-#: formed and how many superblocks they fused.  The simulator benchmark
+#: formed and how many superblocks they fused.  The WCLA hardware model
+#: records its kernel translations here too, under label ``wcla``
+#: (:func:`repro.fabric.hw_exec.compile_kernel_body`).  The simulator benchmark
 #: reads this through :func:`codegen_stats` to break the cold-suite time
 #: into run cost vs ``compile()`` cost, and the telemetry collector below
 #: mirrors it into the live ``metrics`` snapshot.
@@ -124,7 +126,7 @@ def reset_codegen_stats() -> None:
     _CODEGEN.clear()
 
 
-def _record_translation(label: str, kind: str, cached: bool,
+def record_translation(label: str, kind: str, cached: bool,
                         seconds: float) -> None:
     """Fold one translation into the accounting and the live metrics."""
     bucket = _codegen_bucket(label)
@@ -739,7 +741,7 @@ class SourceBlockCompiler:
             cpu._branch_hooks, to_signed, signed_division,
             IllegalInstruction,
         )
-        _record_translation(self.stats_label, "block", cached,
+        record_translation(self.stats_label, "block", cached,
                             time.perf_counter() - start)
         block: JitBlock = (n, fn, entry, end, static_cycles)
         self.blocks[entry] = block

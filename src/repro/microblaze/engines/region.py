@@ -85,7 +85,7 @@ from .jit import (
     _LOAD_WIDTHS,
     _STORE_WIDTHS,
     _codegen_bucket,
-    _record_translation,
+    record_translation,
 )
 from ..opb import OPB_BASE_ADDRESS
 
@@ -1202,7 +1202,7 @@ class RegionEngine(ExecutionEngine):
             cpu._branch_hooks, to_signed, signed_division,
             IllegalInstruction, cpu.data_bram.storage, cpu.data_bram,
         )
-        _record_translation("region", "region", cached,
+        record_translation("region", "region", cached,
                             time.perf_counter() - start)
         bucket = _codegen_bucket("region")
         bucket["regions"] += 1

@@ -13,9 +13,9 @@ framing from one simulation to batches:
 * :mod:`~repro.service.pool` — a process worker pool with a serial
   in-process fallback, per-worker warm caches and worker-fault isolation;
   :class:`WarpService` ties scheduler, pool and cache together.
-* :mod:`~repro.service.artifact_cache` — compatibility shim over
-  :mod:`repro.cad`, the home of the staged CAD flow and its two-level
-  (whole-bundle + per-stage) content-addressed cache.
+* the CAD artifact cache types re-exported here live in :mod:`repro.cad`,
+  the home of the staged CAD flow and its two-level (whole-bundle +
+  per-stage) content-addressed cache.
 * :mod:`~repro.service.cli` — the ``repro-warp`` command-line front end.
 
 CPU checkpoint/restore — the primitive behind job preemption, migration

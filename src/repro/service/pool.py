@@ -48,13 +48,12 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import chaos, obs
-from ..cad import SOURCE_DISK, SOURCE_NEGATIVE, SOURCE_PEER
+from ..cad import SOURCE_DISK, SOURCE_NEGATIVE, SOURCE_PEER, CadArtifactCache
 from ..compiler import compile_source_cached
 from ..digest import shard_index
 from ..microblaze.engines import DEFAULT_ENGINE
 from ..power.energy import microblaze_energy, warp_energy
 from ..warp.processor import WarpProcessor
-from .artifact_cache import CadArtifactCache
 from .jobs import ServiceReport, ServiceResult, WarpJob
 from .scheduler import JobScheduler, ScheduledJob
 

@@ -193,6 +193,7 @@ class WarpProcessor:
                                     system.data_bram)
         system.attach_peripheral(peripheral)
         warp_mb_result = system.run(max_instructions=max_instructions)
+        peripheral.publish_totals()
 
         result.warp_mb_result = warp_mb_result
         result.hw_cycles = peripheral.total_hw_cycles

@@ -392,12 +392,3 @@ class TestLayering:
         source = inspect.getsource(dpm)
         assert "from ..service" not in source
         assert "repro.service" not in source
-
-    def test_service_artifact_cache_shim_reexports_cad_types(self):
-        import repro.cad as cad
-        from repro.service import artifact_cache as shim
-        assert shim.CadArtifactCache is cad.CadArtifactCache
-        assert shim.CadArtifacts is cad.CadArtifacts
-        assert shim.canonical_body_form is cad.canonical_body_form
-        assert shim.artifact_cache_key is cad.artifact_cache_key
-        assert shim.CANONICAL_FORM_VERSION == cad.CANONICAL_FORM_VERSION
