@@ -19,7 +19,12 @@ Measures, at full benchmark size:
 * differential fuzzing campaign throughput (``repro.fuzz``): generated
   programs per second and fuzzed instructions per second with every
   registered engine cross-checked per program — the fleet's programs/s
-  budget planner, asserted divergence-free along the way.
+  budget planner, asserted divergence-free along the way;
+* the warp job's profile run on a warm pooled system (default engine,
+  :data:`repro.warp.processor.WARM_SYSTEMS`) against a cold ``threaded``
+  system built for the run — the service's operating point before and
+  after warm systems — with a warm pooled ``threaded`` system beside
+  them, recorded under ``warm_profile``.
 
 Bit-exactness of the fast engines is asserted before any speed is
 compared.  Results are appended to ``BENCH_simulator.json`` at the
@@ -28,7 +33,8 @@ the acceptance floors — at least 5x cold throughput for the threaded
 engine (ISSUE 1), at least 1.5x steady-state suite throughput of jit over
 threaded (ISSUE 5), and at least 1.8x steady-state suite throughput of
 region over jit (ISSUE 8) — are asserted here so a regression cannot
-land silently.
+land silently, as is the warm-pooled profile run's floor of at least 2x
+over a cold threaded one.
 """
 
 from __future__ import annotations
@@ -45,7 +51,11 @@ from repro.compiler import compile_source_cached
 from repro.eval import run_evaluation
 from repro.fuzz import run_campaign
 from repro.microblaze import PAPER_CONFIG, MicroBlazeSystem, run_program
+from repro.microblaze.engines import DEFAULT_ENGINE
 from repro.microblaze.engines.jit import codegen_stats, reset_codegen_stats
+from repro.profiler.branch_cache import BranchFrequencyCache
+from repro.profiler.profiler import OnChipProfiler
+from repro.warp import WarpProcessor
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 
@@ -59,6 +69,10 @@ MIN_JIT_OVER_THREADED = 1.5
 #: steady-state suite throughput over the jit engine.  Measured at
 #: 2.2x-2.3x on the reference container; the floor leaves noise headroom.
 MIN_REGION_OVER_JIT = 1.8
+
+#: Acceptance threshold of warm pooled systems: profile-run throughput on
+#: a warm pooled system (default engine) over a cold threaded system.
+MIN_WARM_OVER_COLD_PROFILE = 2.0
 
 #: Seeds per fuzz-campaign throughput measurement (every program runs on
 #: all four registered engines, so the per-seed cost is a fleet-width
@@ -292,6 +306,96 @@ def test_simulator_throughput_and_evaluation_walltime():
     assert codegen["region"]["regions"] > 0
     assert fuzz_report.programs == FUZZ_CAMPAIGN_SEEDS
     assert fuzz_report.programs_per_second > 0
+
+
+def _timed_profile(run):
+    start = time.perf_counter()
+    result = run()
+    return time.perf_counter() - start, result
+
+
+def test_warm_pooled_profile_run_beats_cold_threaded():
+    """The warp job's profile run, as the service ran it before warm
+    systems (a cold ``threaded`` system built for the run) and after (a
+    warm pooled system on the default engine), back to back per
+    application, best of :data:`STEADY_REPEATS` alternating rounds.  A
+    warm pooled ``threaded`` system is timed alongside, so the record
+    separates what pooling alone gains from what the default engine adds."""
+    programs = _suite_programs()
+    processors = {"warm": WarpProcessor(config=PAPER_CONFIG),
+                  "warm_threaded": WarpProcessor(config=PAPER_CONFIG,
+                                                 engine="threaded")}
+
+    def cold(program):
+        system = MicroBlazeSystem(config=PAPER_CONFIG, engine="threaded")
+        profiler = OnChipProfiler(BranchFrequencyCache(num_entries=16))
+        return system.run(program, listeners=[profiler])
+
+    apps = {}
+    instructions = 0
+    totals = {"cold": 0.0, "warm": 0.0, "warm_threaded": 0.0}
+    for name, program in programs:
+        # A text is pooled from its second run on; the third is warm.
+        for processor in processors.values():
+            processor.profile(program)
+            processor.profile(program)
+        best = dict.fromkeys(totals, float("inf"))
+        for _ in range(STEADY_REPEATS):
+            seconds, cold_result = _timed_profile(lambda: cold(program))
+            best["cold"] = min(best["cold"], seconds)
+            for label, processor in processors.items():
+                seconds, (warm_result, _) = _timed_profile(
+                    lambda: processor.profile(program))
+                best[label] = min(best[label], seconds)
+                # Bit-identical before any speed is compared.
+                assert warm_result.stats == cold_result.stats, name
+                assert warm_result.return_value == cold_result.return_value
+                assert warm_result.data_image == cold_result.data_image, name
+        count = cold_result.instructions
+        instructions += count
+        for label in totals:
+            totals[label] += best[label]
+        apps[name] = {
+            "instructions": count,
+            "cold_threaded_kips": round(count / best["cold"] / 1e3, 1),
+            "warm_threaded_kips": round(count / best["warm_threaded"] / 1e3,
+                                        1),
+            "warm_pooled_kips": round(count / best["warm"] / 1e3, 1),
+            "ratio": round(best["cold"] / best["warm"], 2),
+        }
+    ratio = totals["cold"] / totals["warm"]
+    block = {
+        "engine": DEFAULT_ENGINE,
+        "repeats": STEADY_REPEATS,
+        "apps": apps,
+        "cold_threaded_kips": round(instructions / totals["cold"] / 1e3, 1),
+        "warm_threaded_kips": round(
+            instructions / totals["warm_threaded"] / 1e3, 1),
+        "warm_pooled_kips": round(instructions / totals["warm"] / 1e3, 1),
+        "warm_threaded_over_cold": round(
+            totals["cold"] / totals["warm_threaded"], 2),
+        "warm_over_cold": round(ratio, 2),
+        "thresholds": {"warm_over_cold": MIN_WARM_OVER_COLD_PROFILE},
+    }
+    payload = {"latest": {}, "history": []}
+    if BENCH_PATH.exists():
+        try:
+            payload = json.loads(BENCH_PATH.read_text())
+        except json.JSONDecodeError:
+            pass
+    payload.setdefault("latest", {})["warm_profile"] = block
+    history = payload.setdefault("history", [])
+    history.append({
+        "warm_profile": block,
+        "environment": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+        },
+    })
+    payload["history"] = history[-20:]
+    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+
+    assert ratio >= MIN_WARM_OVER_COLD_PROFILE, block
 
 
 @pytest.mark.parametrize("engine", ["threaded", "jit", "region"])

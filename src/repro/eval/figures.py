@@ -276,7 +276,7 @@ def run_evaluation(names: Optional[Sequence[str]] = None, small: bool = False,
     """Run the whole evaluation suite (Figures 6 and 7).
 
     ``engine`` selects the simulator execution engine by registry name
-    (:func:`repro.microblaze.engine_names`; ``"threaded"`` by default);
+    (:func:`repro.microblaze.engine_names`; ``"region"`` by default);
     the benchmark harness uses ``engine="interp"`` to measure the seed
     interpreter and ``engine="jit"`` for the generated-source engine's
     trajectory.  Unknown names fail with the registry's

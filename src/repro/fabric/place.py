@@ -135,20 +135,20 @@ def build_component_netlist(synthesis: SynthesisResult,
 
 
 class GreedyPlacer:
-    """Constructive placer with a bounded improvement pass."""
+    """Constructive placer with a bounded improvement pass.
+
+    Candidate sites are scored separably: Manhattan distance splits by
+    axis, so a site's summed distance to the placed neighbours is
+    ``rowcost[row] + colcost[column]``, and each row's best free site is
+    the first free column in ``colcost`` order.  Ties go to the first
+    site in row-major order.  A swap is judged on the nets incident to
+    the two swapped components, the only ones whose length can change.
+    """
 
     def __init__(self, fabric: FabricParameters):
         self.fabric = fabric
 
     # ---------------------------------------------------------------- helpers
-    def _free_sites(self, occupied: Set[Tuple[int, int]]) -> List[Tuple[int, int]]:
-        sites = []
-        for row in range(1, self.fabric.rows):
-            for column in range(self.fabric.columns):
-                if (row, column) not in occupied:
-                    sites.append((row, column))
-        return sites
-
     @staticmethod
     def _distance(a: Tuple[int, int], b: Tuple[int, int]) -> int:
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
@@ -167,10 +167,30 @@ class GreedyPlacer:
     def place(self, components: Sequence[PlacedComponent],
               nets: Sequence[Net]) -> PlacementResult:
         by_name = {component.name: component for component in components}
-        occupied: Set[Tuple[int, int]] = set()
+        rows, columns = self.fabric.rows, self.fabric.columns
+        # Occupancy of the placeable area (row 0 holds the fixed WCLA
+        # resources and is never a candidate site).
+        taken = [[False] * columns for _ in range(rows)]
+        row_free = [0] + [columns] * (rows - 1)
+
+        def occupy(row: int, column: int) -> None:
+            if 1 <= row < rows and 0 <= column < columns \
+                    and not taken[row][column]:
+                taken[row][column] = True
+                row_free[row] -= 1
+
         for component in components:
             if component.fixed and component.location is not None:
-                occupied.add(component.location)
+                occupy(*component.location)
+
+        # Per component, the other endpoint of every net it is on (one
+        # entry per net; a net from a component to itself has none).
+        neighbours: Dict[str, List[PlacedComponent]] = {
+            name: [] for name in by_name}
+        for net in nets:
+            if net.driver != net.sink:
+                neighbours[net.driver].append(by_name[net.sink])
+                neighbours[net.sink].append(by_name[net.driver])
 
         # Connectivity-ordered constructive placement.
         connectivity: Dict[str, int] = {name: 0 for name in by_name}
@@ -181,37 +201,63 @@ class GreedyPlacer:
         movable.sort(key=lambda c: connectivity.get(c.name, 0), reverse=True)
 
         for component in movable:
-            best_site, best_cost = None, None
-            free = self._free_sites(occupied)
-            if not free:
+            if not any(row_free):
                 raise FabricCapacityError(
                     f"fabric out of CLB sites while placing {component.name!r}"
                 )
-            neighbours = [
-                by_name[other].location
-                for net in nets
-                for other in net.endpoints()
-                if other != component.name
-                and component.name in net.endpoints()
-                and by_name[other].location is not None
-            ]
-            for site in free:
-                if neighbours:
-                    cost = sum(self._distance(site, n) for n in neighbours)
-                else:
-                    cost = site[0] + site[1]
-                if best_cost is None or cost < best_cost:
-                    best_site, best_cost = site, cost
+            placed = [other.location for other in neighbours[component.name]
+                      if other.location is not None]
+            if placed:
+                rowcost = [sum(abs(row - r) for r, _ in placed)
+                           for row in range(rows)]
+                colcost = [sum(abs(column - c) for _, c in placed)
+                           for column in range(columns)]
+            else:
+                rowcost, colcost = range(rows), range(columns)
+            column_order = sorted(range(columns), key=colcost.__getitem__)
+            cheapest_column = colcost[column_order[0]]
+            best_site, best_cost = None, None
+            for row in range(1, rows):
+                if not row_free[row]:
+                    continue
+                base = rowcost[row]
+                if best_cost is not None \
+                        and base + cheapest_column >= best_cost:
+                    continue
+                row_taken = taken[row]
+                for column in column_order:
+                    if not row_taken[column]:
+                        cost = base + colcost[column]
+                        if best_cost is None or cost < best_cost:
+                            best_site, best_cost = (row, column), cost
+                        break
             component.location = best_site
-            occupied.add(best_site)
-            # Large components occupy additional adjacent sites.
+            best_row, best_column = best_site
+            occupy(best_row, best_column)
+            # Large components occupy additional adjacent sites: the free
+            # sites within distance 2, in row-major order.
             extra_needed = component.clbs - 1
-            for site in self._free_sites(occupied):
-                if extra_needed <= 0:
-                    break
-                if self._distance(site, best_site) <= 2:
-                    occupied.add(site)
-                    extra_needed -= 1
+            for row in range(max(1, best_row - 2), min(rows, best_row + 3)):
+                reach = 2 - abs(row - best_row)
+                for column in range(max(0, best_column - reach),
+                                    min(columns, best_column + reach + 1)):
+                    if extra_needed > 0 and not taken[row][column]:
+                        occupy(row, column)
+                        extra_needed -= 1
+
+        def local_wirelength(a: PlacedComponent, b: PlacedComponent) -> int:
+            """Length of the nets from ``a`` or ``b`` to other components."""
+            total = 0
+            for here, others in ((a.location, neighbours[a.name]),
+                                 (b.location, neighbours[b.name])):
+                here_row, here_column = here
+                for other in others:
+                    location = other.location
+                    if location is not None and other is not a \
+                            and other is not b:
+                        total += abs(here_row - location[0]) \
+                            + abs(here_column - location[1])
+            return total
 
         # Improvement pass: pairwise swaps that reduce total wirelength.
         improved = True
@@ -222,9 +268,9 @@ class GreedyPlacer:
             for i in range(len(movable)):
                 for j in range(i + 1, len(movable)):
                     a, b = movable[i], movable[j]
-                    before = self._wirelength(by_name, nets)
+                    before = local_wirelength(a, b)
                     a.location, b.location = b.location, a.location
-                    after = self._wirelength(by_name, nets)
+                    after = local_wirelength(a, b)
                     if after >= before:
                         a.location, b.location = b.location, a.location
                     else:

@@ -27,8 +27,9 @@ The architectural model is shared by every registered execution engine
 interpreter implemented here — fetch, dispatch on the instruction class,
 execute, record — and the only path that can feed full per-instruction
 :class:`~repro.microblaze.trace.TraceEvent` streams to listeners;
-``threaded`` (the default) and ``jit`` compile superblocks once at decode
-time and dispatch block-at-a-time.  Listeners that only need branch
+``threaded`` and ``jit`` compile superblocks once at decode time and
+dispatch block-at-a-time, and ``region`` (the default) fuses hot
+superblocks into larger code objects.  Listeners that only need branch
 events (the on-chip profiler) subscribe through the zero-allocation
 branch-hook protocol and keep working at full speed on every engine;
 attaching a full-trace listener transparently falls back to the

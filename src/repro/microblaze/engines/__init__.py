@@ -15,18 +15,29 @@ Four engines register themselves on import:
 
 * ``interp`` — the reference interpreter (defines the semantics; the only
   engine that can feed full per-instruction trace events);
-* ``threaded`` (the default) — the threaded-code engine: per-instruction
+* ``threaded`` — the threaded-code engine: per-instruction
   handler closures strung into superblocks with pre-aggregated statistics
   (:mod:`repro.microblaze.engine` holds its block compiler);
 * ``jit`` — the source-generating engine: per superblock it emits
   specialized Python source (handler bodies inlined, statistics folded
   into constants, the terminating branch at the end), ``exec``\\ s it once
   into a cached closure, and dispatches block-at-a-time.
-* ``region`` — the region JIT: jit superblocks whose entries prove hot
-  (edge-profile seeded, tunable threshold) are fused — successors chained
-  — into one generated code object with internal ``while``-loop dispatch
-  and deferred block-count statistics, eliminating per-block dispatch on
-  hot paths.
+* ``region`` (the default) — the region JIT: jit superblocks whose
+  entries prove hot (edge-profile seeded, tunable threshold) are fused —
+  successors chained — into one generated code object with internal
+  ``while``-loop dispatch and deferred block-count statistics,
+  eliminating per-block dispatch on hot paths.
+
+``region`` is the default because the warp flow runs recurring programs
+on warm systems (:data:`repro.warp.processor.WARM_SYSTEMS`) whose
+translations persist across jobs of the same program: there the paper
+applications' profile runs are about 2.8x faster on a warm ``region``
+system than on a cold ``threaded`` one, while a warm ``threaded`` system
+gains only 1.1-1.2x (``warm_profile`` in ``BENCH_simulator.json``).  Cold,
+``region`` translates more than ``threaded``, so the warp flow runs a
+program's first, unpooled run on ``threaded``
+(:data:`repro.warp.processor.COLD_ENGINE`) unless the job names an
+engine.
 
 **The engine contract** covers four responsibilities:
 
@@ -65,8 +76,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 #: Engine used when a CPU (or system, job, sweep) is built without an
-#: explicit choice.
-DEFAULT_ENGINE = "threaded"
+#: explicit choice (see the module docstring for why it is ``region``).
+DEFAULT_ENGINE = "region"
 
 
 class UnknownEngineError(ValueError):

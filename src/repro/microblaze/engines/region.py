@@ -99,8 +99,13 @@ _SIGN = 0x8000_0000
 DEFAULT_HOT_THRESHOLD = 64
 
 #: Default cap on superblocks fused per region.  Bounds both the emitted
-#: source size and the worst-case pc-to-label scan inside the region.
-DEFAULT_MAX_REGION_BLOCKS = 32
+#: source size and the worst-case pc-to-label scan inside the region.  On
+#: a warm system a region may absorb every block earlier runs compiled,
+#: and compiling one huge region costs peak memory, not speed: over 48
+#: warp jobs of the paper applications, a cap of 32 blocks (``idct``
+#: fused 28) peaked at 54 MiB RSS, 4 blocks at 28 MiB — the threaded
+#: engine's figure — at the same warm instructions per second.
+DEFAULT_MAX_REGION_BLOCKS = 4
 
 #: Entry-count value marking "never promote" (already fused, or scanned
 #: and found unregionable).  Far enough from zero that continued

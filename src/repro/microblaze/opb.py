@@ -141,6 +141,12 @@ class OnChipPeripheralBus:
         if getattr(peripheral, "wants_ticks", False):
             self.ticking.append(peripheral)
 
+    def detach(self, peripheral: Peripheral) -> None:
+        """Detach a previously attached ``peripheral``."""
+        self.peripherals.remove(peripheral)
+        if peripheral in self.ticking:
+            self.ticking.remove(peripheral)
+
     def owns(self, address: int) -> bool:
         """Whether ``address`` decodes to one of the attached peripherals."""
         return self._find(address) is not None

@@ -11,6 +11,7 @@ dynamic partitioning module has generated hardware).  It loads a
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -85,10 +86,11 @@ class MicroBlazeSystem:
         processor attaches the WCLA here.
     engine:
         Execution engine for the CPU core, resolved against the engine
-        registry (:mod:`repro.microblaze.engines`): ``"threaded"`` (the
-        default threaded-code engine), ``"jit"`` (the source-generating
-        superblock engine) or ``"interp"`` (the reference interpreter) —
-        plus anything registered with
+        registry (:mod:`repro.microblaze.engines`): ``"region"`` (the
+        default region-fusing engine), ``"threaded"`` (the threaded-code
+        engine), ``"jit"`` (the source-generating superblock engine) or
+        ``"interp"`` (the reference interpreter) — plus anything
+        registered with
         :func:`~repro.microblaze.engines.register_engine`.  The built-in
         engines are bit-exact with one another; unknown names raise
         :class:`~repro.microblaze.engines.UnknownEngineError` listing the
@@ -125,8 +127,20 @@ class MicroBlazeSystem:
     def attach_peripheral(self, peripheral: Peripheral) -> None:
         self.opb.attach(peripheral)
 
+    def detach_peripheral(self, peripheral: Peripheral) -> None:
+        self.opb.detach(peripheral)
+
     def load(self, program: Program) -> None:
-        """Load ``program`` into the instruction and data block RAMs."""
+        """Load ``program`` into the instruction and data block RAMs.
+
+        The data BRAM is cleared and reloaded every time.  The instruction
+        BRAM is rewritten — and every decode and engine translation
+        dropped — only when its bytes differ from ``program``'s text, so
+        a system re-running the same binary on new data stays warm.  The
+        comparison is on the BRAM bytes, so a live patch since the last
+        load (:func:`~repro.partition.binary_patch.patch_live_words`)
+        forces the rewrite.
+        """
         if program.text_size > self.instr_bram.size:
             raise ValueError(
                 f"program text of {program.text_size} bytes does not fit in the "
@@ -137,12 +151,17 @@ class MicroBlazeSystem:
                 f"program data of {program.data_size} bytes does not fit in the "
                 f"{self.data_bram.size}-byte data BRAM"
             )
-        # Clear memories so that back-to-back runs are independent.
-        self.instr_bram.storage[:] = b"\x00" * self.instr_bram.size
-        self.data_bram.storage[:] = b"\x00" * self.data_bram.size
-        self.instr_bram.store_words(0, program.text)
+        # Clear memories so that back-to-back runs are independent; an
+        # instruction BRAM holding exactly this text is already clear.
+        image = struct.pack(f"<{len(program.text)}I", *program.text)
+        storage = self.instr_bram.storage
+        if not (storage.startswith(image)
+                and storage.count(0, len(image)) == len(storage) - len(image)):
+            storage[:] = bytes(self.instr_bram.size)
+            storage[:len(image)] = image
+            self.cpu.invalidate_decode_cache()
+        self.data_bram.storage[:] = bytes(self.data_bram.size)
         self.data_bram.load_image(bytes(program.data))
-        self.cpu.invalidate_decode_cache()
         self._loaded_program = program
         self._checkpoint_meta = None
 

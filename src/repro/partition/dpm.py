@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from .. import obs
 from ..cad import (
     CadFlow,
     DpmCostModel,
@@ -132,6 +133,7 @@ class DynamicPartitioningModule:
         the software-only binary.
         """
         if region is None:
+            _count_rejection("no-region")
             return PartitioningOutcome(success=False, region=None,
                                        reason="profiler found no critical region")
         context = FlowContext(
@@ -170,21 +172,25 @@ class DynamicPartitioningModule:
         region = context.region
         records = list(context.records)
         if isinstance(cause, DecompilationError):
+            _count_rejection("decompile")
             return PartitioningOutcome(
                 success=False, region=region,
                 reason=f"decompilation failed: {cause}",
                 stage_records=records)
         if isinstance(cause, KernelRejectedError):
+            _count_rejection("kernel-rejected")
             return PartitioningOutcome(
                 success=False, region=region,
                 reason=context.kernel.rejection_reason,
                 kernel=context.kernel, stage_records=records)
         if isinstance(cause, FabricCapacityError):
+            _count_rejection("capacity")
             return PartitioningOutcome(
                 success=False, region=region, reason=str(cause),
                 kernel=context.kernel, synthesis=context.synthesis,
                 cad_cache_key=context.bundle_key, stage_records=records)
         if isinstance(cause, KernelDoesNotFitError):
+            _count_rejection("capacity")
             return PartitioningOutcome(
                 success=False, region=region,
                 reason="kernel does not fit the fabric",
@@ -192,6 +198,7 @@ class DynamicPartitioningModule:
                 placement=context.placement, routing=context.routing,
                 cad_cache_key=context.bundle_key, stage_records=records)
         if isinstance(cause, PatchError):
+            _count_rejection("binary-update")
             return PartitioningOutcome(
                 success=False, region=region,
                 reason=f"binary update failed: {cause}",
@@ -200,6 +207,7 @@ class DynamicPartitioningModule:
                 implementation=context.implementation,
                 cad_cache_hit=context.served_from_cache(),
                 cad_cache_key=context.bundle_key, stage_records=records)
+        _count_rejection("stage")
         return PartitioningOutcome(
             success=False, region=region,
             reason=f"CAD stage {error.stage!r} failed: {cause}",
@@ -207,3 +215,13 @@ class DynamicPartitioningModule:
             placement=context.placement, routing=context.routing,
             implementation=context.implementation,
             cad_cache_key=context.bundle_key, stage_records=records)
+
+
+def _count_rejection(reason: str) -> None:
+    """Count one rejected region under a bounded reason class: no-region,
+    decompile, kernel-rejected, capacity, binary-update or stage."""
+    if obs.ACTIVE is not None:
+        obs.inc("warp_partition_rejections_total",
+                help_text="Critical regions the DPM left in software, by "
+                          "reason class",
+                reason=reason)

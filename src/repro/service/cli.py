@@ -149,8 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--configs", default="paper",
                          help=f"comma-separated configuration names from "
                               f"{sorted(NAMED_CONFIGS)} (default: paper)")
-        from ..microblaze.engines import engine_names
-        sub.add_argument("--engines", default="threaded",
+        from ..microblaze.engines import DEFAULT_ENGINE, engine_names
+        sub.add_argument("--engines", default=DEFAULT_ENGINE,
                          help="comma-separated execution engines from the "
                               f"registry ({', '.join(engine_names())})")
         sub.add_argument("--small", action="store_true",
@@ -298,8 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(default: the full six-benchmark suite)")
     hot.add_argument("--config", choices=sorted(NAMED_CONFIGS),
                      default="paper", help="processor configuration")
+    from ..microblaze.engines import DEFAULT_ENGINE as _DEFAULT_ENGINE
     from ..microblaze.engines import engine_names as _engine_names
-    hot.add_argument("--engine", default="threaded",
+    hot.add_argument("--engine", default=_DEFAULT_ENGINE,
                      help="execution engine carrying the profiler hook "
                           f"({', '.join(_engine_names())})")
     hot.add_argument("--small", action="store_true",

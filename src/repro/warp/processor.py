@@ -17,22 +17,167 @@ results (checksums must match the software-only run) and the performance
 breakdown (MicroBlaze cycles, WCLA cycles at the WCLA's own clock,
 per-invocation communication overhead), from which the experiment harness
 derives Figure 6.
+
+Like the paper's warp processor, which keeps running the same binary, the
+phases run on *warm* systems once a program recurs: a process-wide pool
+keeps idle :class:`~repro.microblaze.system.MicroBlazeSystem` instances
+keyed by ``(config, engine, program text)``, and a run checks one out and
+back in.  Re-loading the same text keeps the system's decodes and engine
+translations (:meth:`MicroBlazeSystem.load`), so the next job of the same
+application — new data, same code — translates nothing: the
+translate-once, run-many step of a persistent code cache.  A text's first
+run is treated as one-off: it gets a system of its own, not pooled, on the
+engine cheapest to translate (:data:`COLD_ENGINE`) unless the job names
+one.  The profile run uses the original text's system, the warped run the
+patched text's.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, List, Optional, Sequence, Tuple
 
+from .. import obs
 from ..fabric.architecture import DEFAULT_WCLA, WclaParameters
 from ..fabric.hw_exec import WclaPeripheral
 from ..isa.program import Program
 from ..microblaze.config import MicroBlazeConfig, PAPER_CONFIG
+from ..microblaze.engines import validate_engine_name
 from ..microblaze.opb import OPB_BASE_ADDRESS
 from ..microblaze.system import ExecutionResult, MicroBlazeSystem
 from ..partition.dpm import DynamicPartitioningModule, PartitioningOutcome
 from ..profiler.branch_cache import BranchFrequencyCache
 from ..profiler.profiler import OnChipProfiler
+
+
+#: Idle warm systems kept per process, over all keys.  Each costs its two
+#: BRAMs (64 KiB each at the paper's configuration) plus its translations;
+#: the six paper applications need twelve (original and patched text).
+MAX_WARM_SYSTEMS = 16
+
+#: Program texts the pool remembers having seen (as hashes), so that a
+#: text's second arrival is recognised as recurring.
+MAX_SEEN_TEXTS = 256
+
+#: Engine of a text's first run when the job names none.  That run's
+#: system is not pooled, so the engine cheapest to translate wins: cold,
+#: with the profiler attached, the six paper applications take 0.105 s on
+#: ``threaded`` against 0.125 s on ``region``.
+COLD_ENGINE = "threaded"
+
+
+class WarmSystemPool:
+    """Idle :class:`MicroBlazeSystem` instances keyed by
+    ``(config, engine, program text)``, least recently used evicted first.
+
+    A text is pooled only once it recurs.  Its first checkout builds a
+    system that is not returned (on :data:`COLD_ENGINE` unless the caller
+    names an engine), so one-off programs neither pay for a translation
+    that would never be reused nor push recurring texts' systems out.
+    From its second checkout on, a text runs on a pooled system of the
+    named engine, or of the default engine if none is named.
+
+    :meth:`checkout` hands a system to exactly one caller at a time (the
+    gateway's concurrent batch executors run warp jobs on several threads
+    of one process).  A system comes back to the pool only when its run
+    returned; one whose run raised is dropped, as is the least recently
+    used one past :data:`MAX_WARM_SYSTEMS`.  Outcomes are counted in
+    ``warp_warm_systems_total{outcome="cold|built|reused|dropped"}``.
+    """
+
+    def __init__(self):
+        self._idle: "OrderedDict[Tuple, List[MicroBlazeSystem]]" = OrderedDict()
+        self._seen: "OrderedDict[int, None]" = OrderedDict()
+        self._size = 0
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return self._size
+
+    @contextmanager
+    def checkout(self, config: MicroBlazeConfig, engine: Optional[str],
+                 text: Sequence[int]) -> Iterator[MicroBlazeSystem]:
+        text = tuple(text)
+        key = (config, validate_engine_name(engine), text)
+        # A hash collision only makes a one-off text look recurring.
+        seen_key = hash((config, text))
+        system = None
+        with self._lock:
+            recurring = seen_key in self._seen
+            if recurring:
+                self._seen.move_to_end(seen_key)
+                idle = self._idle.get(key)
+                if idle:
+                    system = idle.pop()
+                    self._size -= 1
+                    if not idle:
+                        del self._idle[key]
+            else:
+                self._seen[seen_key] = None
+                if len(self._seen) > MAX_SEEN_TEXTS:
+                    self._seen.popitem(last=False)
+        if not recurring:
+            _count_system("cold")
+            yield MicroBlazeSystem(
+                config=config,
+                engine=COLD_ENGINE if engine is None else key[1])
+            return
+        if system is None:
+            system = MicroBlazeSystem(config=config, engine=key[1])
+            _count_system("built")
+        else:
+            _count_system("reused")
+        try:
+            yield system
+        except BaseException:
+            _count_system("dropped")
+            raise
+        with self._lock:
+            self._idle.setdefault(key, []).append(system)
+            self._idle.move_to_end(key)
+            self._size += 1
+            evict = self._size > MAX_WARM_SYSTEMS
+            if evict:
+                oldest_key, oldest = next(iter(self._idle.items()))
+                oldest.pop(0)
+                if not oldest:
+                    del self._idle[oldest_key]
+                self._size -= 1
+        if evict:
+            _count_system("dropped")
+
+    def clear(self) -> None:
+        """Drop every idle system and forget every text seen."""
+        with self._lock:
+            self._idle.clear()
+            self._seen.clear()
+            self._size = 0
+
+
+def _count_system(outcome: str) -> None:
+    if obs.ACTIVE is not None:
+        obs.inc("warp_warm_systems_total",
+                help_text="Warm-system checkouts (cold first run of a "
+                          "text, built or reused pooled system) and "
+                          "pooled systems dropped (failed run or evicted)",
+                outcome=outcome)
+
+
+#: The process-wide pool every :class:`WarpProcessor` runs on.
+WARM_SYSTEMS = WarmSystemPool()
+
+
+def _collect_warm_system_metrics(registry) -> None:
+    registry.gauge(
+        "warp_warm_systems_pooled",
+        "Idle warm MicroBlaze systems in this process's pool",
+    ).set(float(len(WARM_SYSTEMS)))
+
+
+obs.add_collector(_collect_warm_system_metrics)
 
 
 @dataclass
@@ -159,15 +304,18 @@ class WarpProcessor:
         """Phase 1: run the program on the MicroBlaze alone while profiling.
 
         The profiler subscribes through the branch-hook protocol, so this
-        run stays on the threaded-code engine: branch handlers feed the
-        profiler scalars directly and no trace events are allocated.
+        run stays on a block engine: branch handlers feed the profiler
+        scalars directly and no trace events are allocated.  The system
+        comes from :data:`WARM_SYSTEMS`, warm if ``program``'s text
+        recurs.
         """
         profiler = OnChipProfiler(
             BranchFrequencyCache(num_entries=self.profiler_cache_entries)
         )
-        system = MicroBlazeSystem(config=self.config, engine=self.engine)
-        result = system.run(program, listeners=[profiler],
-                            max_instructions=max_instructions)
+        with WARM_SYSTEMS.checkout(self.config, self.engine,
+                                   program.text) as system:
+            result = system.run(program, listeners=[profiler],
+                                max_instructions=max_instructions)
         return result, profiler
 
     def run(self, program: Program,
@@ -187,12 +335,17 @@ class WarpProcessor:
         if not outcome.success:
             return result
 
-        system = MicroBlazeSystem(config=self.config, engine=self.engine)
-        system.load(patched)
-        peripheral = WclaPeripheral(self.wcla_base_address, outcome.implementation,
-                                    system.data_bram)
-        system.attach_peripheral(peripheral)
-        warp_mb_result = system.run(max_instructions=max_instructions)
+        with WARM_SYSTEMS.checkout(self.config, self.engine,
+                                   patched.text) as system:
+            system.load(patched)
+            peripheral = WclaPeripheral(self.wcla_base_address,
+                                        outcome.implementation,
+                                        system.data_bram)
+            system.attach_peripheral(peripheral)
+            try:
+                warp_mb_result = system.run(max_instructions=max_instructions)
+            finally:
+                system.detach_peripheral(peripheral)
         peripheral.publish_totals()
 
         result.warp_mb_result = warp_mb_result
