@@ -11,16 +11,14 @@ warped runs, back to back in one process, and asserts the floor:
   least :data:`MIN_SPEEDUP` times below the reference loop's.
 
 Both runs must leave the same data memory and the same iteration counts.
-The per-application ratios and microseconds per kernel iteration are
-appended to ``BENCH_cad.json`` at the repository root.
+With ``REPRO_BENCH_RECORD=1`` the per-application ratios and
+microseconds per kernel iteration are appended to ``BENCH_cad.json`` at
+the repository root.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import time
-from pathlib import Path
 
 from repro.decompile.expr import evaluate
 from repro.fabric.hw_exec import (
@@ -32,7 +30,8 @@ from repro.microblaze import PAPER_CONFIG
 from repro.microblaze.system import MicroBlazeSystem
 from repro.warp import WarpProcessor
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_cad.json"
+import bench_record
+
 
 #: Acceptance floor: reference-loop time / generated-engine time, per app.
 MIN_SPEEDUP = 5.0
@@ -139,23 +138,7 @@ def test_generated_hw_model_beats_reference_loop(compiled_programs):
         "min_speedup": min(app["speedup"] for app in apps.values()),
         "thresholds": {"min_speedup_vs_reference": MIN_SPEEDUP},
     }
-    payload = {"latest": {}, "history": []}
-    if BENCH_PATH.exists():
-        try:
-            payload = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            pass
-    payload.setdefault("latest", {})["hw_model"] = block
-    history = payload.setdefault("history", [])
-    history.append({
-        "hw_model": block,
-        "environment": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
-    })
-    payload["history"] = history[-20:]
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    bench_record.record("BENCH_cad.json", block, block="hw_model")
 
     for name, app in apps.items():
         assert app["speedup"] >= MIN_SPEEDUP, (name, app)

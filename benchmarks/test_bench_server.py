@@ -26,16 +26,16 @@ Three claims are measured and floored:
   served — the moved keys pulled from peers (``peer_hits``), not
   recomputed.
 
-All numbers are appended to ``BENCH_server.json`` at the repository root
-(the mesh block keeps its own history) so future PRs have a recorded
-service trajectory.
+With ``REPRO_BENCH_RECORD=1`` (see ``bench_record.py``) all numbers are
+appended to ``BENCH_server.json`` at the repository root (the mesh block
+keeps its own history), so the service trajectory stays on record; the
+floors are asserted on every run.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
 import re
 import socket
 import subprocess
@@ -49,8 +49,9 @@ from repro.server import GatewayClient, HashRing, WarpGateway, \
 from repro.service import WarpJob, suite_sweep_jobs
 from repro.service.pool import STORE_ENV_VAR
 
+import bench_record
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_server.json"
 
 #: Acceptance floor: CAD stage hit rate of a fresh process on a warm store.
 MIN_WARM_STORE_STAGE_HIT_RATE = 0.90
@@ -215,35 +216,13 @@ def test_warm_disk_store_and_gateway_throughput(tmp_path):
             "batch_speedup": MIN_BATCH_SPEEDUP,
             "batch_speedup_note": "only asserted on >= 2 CPUs",
         },
-        "environment": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
     }
 
-    data = _load_bench()
-    history = data.get("history", [])
-    history.append(record)
-    data["latest"] = record
-    data["history"] = history[-20:]
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
+    bench_record.record("BENCH_server.json", record)
 
     # ---------------------------------------------------------------- the floor
     if cpus >= 2:
         assert record["gateway"]["batch_speedup"] >= MIN_BATCH_SPEEDUP, record
-
-
-def _load_bench() -> dict:
-    """The BENCH_server.json document, or {} — keeps sibling blocks (the
-    gateway record and the mesh record update independently)."""
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-            if isinstance(data, dict):
-                return data
-        except json.JSONDecodeError:
-            pass
-    return {}
 
 
 # ------------------------------------------------------------------ mesh bench
@@ -367,6 +346,35 @@ def _assert_all_ok(reports) -> None:
     assert not failures, failures
 
 
+def _member_split(reports, members) -> dict:
+    """Jobs and busy seconds per mesh member: a serial gateway runs its
+    jobs in its own process, so a result's ``worker_pid`` names the
+    member that executed it (a spilled job counts on its successor)."""
+    split = {name: {"jobs": 0, "busy_seconds": 0.0}
+             for name in members.values()}
+    for report in reports:
+        for result in report.results:
+            member = split[members[result.worker_pid]]
+            member["jobs"] += 1
+            member["busy_seconds"] += result.wall_seconds
+    for member in split.values():
+        member["busy_seconds"] = round(member["busy_seconds"], 4)
+    return split
+
+
+def _spill_counts(addresses) -> dict:
+    """``warp_mesh_spills_total`` summed over ``addresses``, by outcome."""
+    counts = {"relayed": 0, "refused": 0, "unreachable": 0}
+    for address in addresses:
+        with GatewayClient(address) as client:
+            families = client.metrics(include_spans=False)["metrics"]
+        for sample in families.get("warp_mesh_spills_total",
+                                   {}).get("samples", ()):
+            result = sample["labels"]["result"]
+            counts[result] = counts.get(result, 0) + int(sample["value"])
+    return counts
+
+
 def test_mesh_throughput_and_rebalance(tmp_path):
     cpus = _cpu_count()
     jobs = _mesh_jobs()
@@ -388,6 +396,9 @@ def test_mesh_throughput_and_rebalance(tmp_path):
     try:
         mesh_reports, mesh_seconds = _drive_clients([g1_addr, g2_addr], jobs)
         _assert_all_ok(mesh_reports)
+        members = _member_split(mesh_reports, {g1_proc.pid: "g1",
+                                               g2_proc.pid: "g2"})
+        spills = _spill_counts([g1_addr, g2_addr])
         # The mesh computes the same numbers as the single gateway.
         assert _canonical_by_name(mesh_reports) == \
             _canonical_by_name(single_reports)
@@ -425,6 +436,8 @@ def test_mesh_throughput_and_rebalance(tmp_path):
         "single_gateway_seconds": round(single_seconds, 4),
         "mesh_2gw_seconds": round(mesh_seconds, 4),
         "throughput_ratio": throughput_ratio,
+        "members": members,
+        "spills": spills,
         "rebalance": {
             "rerun_seconds": round(rerun_seconds, 4),
             "moved_jobs": len(moved),
@@ -436,18 +449,9 @@ def test_mesh_throughput_and_rebalance(tmp_path):
             "rebalance_stage_hit_rate": MIN_REBALANCE_STAGE_HIT_RATE,
             "ratio_note": "only asserted on >= 2 CPUs",
         },
-        "environment": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
     }
 
-    data = _load_bench()
-    mesh_block = data.get("mesh", {})
-    mesh_history = mesh_block.get("history", [])
-    mesh_history.append(record)
-    data["mesh"] = {"latest": record, "history": mesh_history[-20:]}
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
+    bench_record.record("BENCH_server.json", record, section="mesh")
 
     # --------------------------------------------------------------- the floors
     # The rebalance re-run is served from warm members plus peer fetches

@@ -18,23 +18,23 @@ Asserted floors (ISSUE 2 acceptance):
   serial cold sweep's wall time;
 * pooled and serial sweeps produce numerically identical results.
 
-All numbers are appended to ``BENCH_service.json`` at the repository root
-so future PRs have a recorded service-throughput trajectory.
+With ``REPRO_BENCH_RECORD=1`` (see ``bench_record.py``) all numbers are
+appended to ``BENCH_service.json`` at the repository root, so the
+service-throughput trajectory stays on record; the floors are asserted
+on every run.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import time
-from pathlib import Path
 
 from repro.compiler import clear_compile_cache
 from repro.microblaze import PAPER_CONFIG
 from repro.service import WarpService, process_artifact_cache, suite_sweep_jobs
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
+import bench_record
+
 
 #: Acceptance floor: hit rate of the second identical sweep.
 MIN_SECOND_SWEEP_HIT_RATE = 0.90
@@ -119,23 +119,9 @@ def test_service_sweep_throughput_and_cache_reuse():
             "second_sweep_hit_rate": MIN_SECOND_SWEEP_HIT_RATE,
             "pooled_faster_than_serial": "only asserted on >= 2 CPUs",
         },
-        "environment": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
     }
 
-    history = []
-    if BENCH_PATH.exists():
-        try:
-            previous = json.loads(BENCH_PATH.read_text())
-            history = previous.get("history", [])
-        except (json.JSONDecodeError, AttributeError):
-            history = []
-    history.append(record)
-    BENCH_PATH.write_text(json.dumps({"latest": record,
-                                      "history": history[-20:]},
-                                     indent=2) + "\n")
+    bench_record.record("BENCH_service.json", record)
 
     # -------------------------------------------------------------- the floor
     if cpus >= 2:
@@ -208,9 +194,9 @@ def test_disabled_telemetry_overhead_is_negligible():
     The same analytic bound is used for the same reason: scheduler noise
     between two identical warm sweeps exceeds 2% on a shared box, while
     gate cost x a generous per-job site ceiling against the best warm
-    job resolves it with orders of magnitude to spare.  The measured
-    numbers ride along in ``BENCH_service.json`` so the trajectory of
-    the uninstrumented path stays on record.
+    job resolves it with orders of magnitude to spare.  When recording,
+    the measured numbers ride along in ``BENCH_service.json`` so the
+    trajectory of the uninstrumented path stays on record.
     """
     from repro import obs
 
@@ -232,24 +218,14 @@ def test_disabled_telemetry_overhead_is_negligible():
 
     overhead = TELEMETRY_GATES_PER_JOB * gate_seconds / job_seconds
 
-    # Record the measurement next to the throughput numbers, keeping the
-    # file's shape ({"latest": ..., "history": [...]}) and history.
-    if BENCH_PATH.exists():
-        try:
-            payload = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            payload = {"latest": {}, "history": []}
-        block = {
-            "gate_ns": round(gate_seconds * 1e9, 1),
-            "gates_per_job_ceiling": TELEMETRY_GATES_PER_JOB,
-            "warm_job_ms": round(job_seconds * 1e3, 3),
-            "overhead_fraction": round(overhead, 6),
-            "threshold": MAX_DISABLED_TELEMETRY_OVERHEAD,
-        }
-        payload.setdefault("latest", {})["telemetry_overhead"] = block
-        if payload.get("history"):
-            payload["history"][-1]["telemetry_overhead"] = block
-        BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    # Recorded as a block next to the throughput record.
+    bench_record.record("BENCH_service.json", {
+        "gate_ns": round(gate_seconds * 1e9, 1),
+        "gates_per_job_ceiling": TELEMETRY_GATES_PER_JOB,
+        "warm_job_ms": round(job_seconds * 1e3, 3),
+        "overhead_fraction": round(overhead, 6),
+        "threshold": MAX_DISABLED_TELEMETRY_OVERHEAD,
+    }, block="telemetry_overhead")
 
     assert overhead < MAX_DISABLED_TELEMETRY_OVERHEAD, (
         f"disabled telemetry gates cost {overhead:.2%} of a warm job "

@@ -27,8 +27,9 @@ Measures, at full benchmark size:
   them, recorded under ``warm_profile``.
 
 Bit-exactness of the fast engines is asserted before any speed is
-compared.  Results are appended to ``BENCH_simulator.json`` at the
-repository root (the previous record is preserved under ``history``), and
+compared.  With ``REPRO_BENCH_RECORD=1`` results are appended to
+``BENCH_simulator.json`` at the repository root (the previous record is
+preserved under ``history``), and
 the acceptance floors — at least 5x cold throughput for the threaded
 engine (ISSUE 1), at least 1.5x steady-state suite throughput of jit over
 threaded (ISSUE 5), and at least 1.8x steady-state suite throughput of
@@ -39,10 +40,7 @@ over a cold threaded one.
 
 from __future__ import annotations
 
-import json
-import platform
 import time
-from pathlib import Path
 
 import pytest
 
@@ -57,7 +55,8 @@ from repro.profiler.branch_cache import BranchFrequencyCache
 from repro.profiler.profiler import OnChipProfiler
 from repro.warp import WarpProcessor
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
+import bench_record
+
 
 #: Acceptance thresholds of the threaded-code engine work (ISSUE 1).
 MIN_THROUGHPUT_SPEEDUP = 5.0
@@ -278,23 +277,8 @@ def test_simulator_throughput_and_evaluation_walltime():
             "jit_over_threaded": MIN_JIT_OVER_THREADED,
             "region_over_jit": MIN_REGION_OVER_JIT,
         },
-        "environment": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
     }
-    # Append to the trajectory, same shape as the other BENCH files
-    # (latest + oldest-first bounded history).
-    history = []
-    if BENCH_PATH.exists():
-        try:
-            history = json.loads(BENCH_PATH.read_text()).get("history", [])
-        except (json.JSONDecodeError, AttributeError):
-            history = []
-    history.append(record)
-    BENCH_PATH.write_text(json.dumps({"latest": record,
-                                      "history": history[-20:]},
-                                     indent=2) + "\n")
+    bench_record.record("BENCH_simulator.json", record)
 
     assert throughput_speedup >= MIN_THROUGHPUT_SPEEDUP, record["suite"]
     assert evaluation_speedup >= MIN_EVALUATION_SPEEDUP, record["evaluation"]
@@ -377,23 +361,7 @@ def test_warm_pooled_profile_run_beats_cold_threaded():
         "warm_over_cold": round(ratio, 2),
         "thresholds": {"warm_over_cold": MIN_WARM_OVER_COLD_PROFILE},
     }
-    payload = {"latest": {}, "history": []}
-    if BENCH_PATH.exists():
-        try:
-            payload = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            pass
-    payload.setdefault("latest", {})["warm_profile"] = block
-    history = payload.setdefault("history", [])
-    history.append({
-        "warm_profile": block,
-        "environment": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
-    })
-    payload["history"] = history[-20:]
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    bench_record.record("BENCH_simulator.json", block, block="warm_profile")
 
     assert ratio >= MIN_WARM_OVER_COLD_PROFILE, block
 

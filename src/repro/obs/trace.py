@@ -25,6 +25,7 @@ poller (``repro-warp top``) never re-reads spans it has seen.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import uuid
@@ -109,8 +110,13 @@ class SpanSink:
         ring before being read are simply gone — the cursor still
         advances past them, so pollers never stall."""
         with self._lock:
-            spans = [span for sequence, span in self._ring
-                     if sequence >= cursor]
+            # Sequence numbers in the ring are contiguous and end at
+            # ``_recorded - 1``, so the new spans are its last
+            # ``_recorded - cursor`` entries: read only those.
+            fresh = max(0, min(len(self._ring), self._recorded - cursor))
+            spans = [span for _, span in
+                     itertools.islice(reversed(self._ring), fresh)]
+            spans.reverse()
             return self._recorded, spans
 
     def snapshot(self) -> List[Span]:

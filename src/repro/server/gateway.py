@@ -35,7 +35,14 @@ A :class:`WarpGateway` binds one listening socket and fronts one
   ``mesh-join``/``mesh-peers`` verbs, warm store entries replicate on
   demand over ``mesh-fetch``, and a ``route="ring"`` submission that
   lands on a non-owner is forwarded to the consistent-hash ring owner
-  (falling back to local execution if the owner cannot take it).
+  (falling back to local execution if the owner cannot take it).  Ring
+  routing is load-aware (bounded-load consistent hashing with capacity
+  equal to the worker count): an owner that is *saturated* — admitted
+  jobs >= ``max(1, service.workers)`` — spills the job one hop to the
+  key's next distinct ring successor (``spill: true``).  A successor
+  that is saturated or draining refuses with the ``busy`` reply and the
+  owner runs the job itself.  Spills are counted in
+  ``warp_mesh_spills_total{result="relayed|refused|unreachable"}``.
 
 The gateway is deliberately loop-per-thread: ``run()`` owns its own
 ``asyncio`` event loop, so tests and the CLI can host a gateway on a
@@ -52,7 +59,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import chaos, obs
 from ..service.jobs import JobSpecError, ServiceReport, WarpJob
@@ -350,8 +357,25 @@ class WarpGateway:
                                       - self.retained_batches)]:
             del self._batches[batch_id]
 
-    def _admit(self, jobs: List[WarpJob],
-               client: Optional[str] = None) -> Optional[Dict]:
+    def _saturated(self) -> bool:
+        """True when every worker already has an admitted job: the
+        bounded-load capacity of a mesh member is its worker count (a
+        serial service counts as one worker)."""
+        return self._pending_jobs >= max(1, self.service.workers)
+
+    def _busy_reply(self, message: str) -> Dict:
+        return {
+            "ok": False,
+            "error": "busy",
+            "code": 429,
+            "message": message,
+            "pending_jobs": self._pending_jobs,
+            "queue_depth": self._pending_jobs,
+            "queue_limit": self.queue_limit,
+        }
+
+    def _admit(self, jobs: List[WarpJob], client: Optional[str] = None,
+               spill: bool = False) -> Optional[Dict]:
         """Admission control: an error reply when the queue cannot take
         the batch, ``None`` when admitted.
 
@@ -364,7 +388,9 @@ class WarpGateway:
         ``client`` id is additionally held to that client's own pending
         cap (the ``busy`` reply then also carries ``client_pending`` /
         ``client_quota``).  A draining gateway rejects every submission
-        with the typed, equally non-retryable ``draining`` reply.
+        with the typed, equally non-retryable ``draining`` reply.  A
+        ``spill`` from a saturated ring owner is refused with ``busy``
+        when this gateway is saturated too (the owner then runs it).
         """
         if self._draining:
             return {
@@ -391,17 +417,14 @@ class WarpGateway:
                 "queue_limit": self.queue_limit,
             }
         if self._pending_jobs + len(jobs) > self.queue_limit:
-            return {
-                "ok": False,
-                "error": "busy",
-                "code": 429,
-                "message": (f"admission queue is full: {self._pending_jobs} "
-                            f"jobs pending, limit {self.queue_limit}, "
-                            f"batch of {len(jobs)} rejected"),
-                "pending_jobs": self._pending_jobs,
-                "queue_depth": self._pending_jobs,
-                "queue_limit": self.queue_limit,
-            }
+            return self._busy_reply(
+                f"admission queue is full: {self._pending_jobs} jobs "
+                f"pending, limit {self.queue_limit}, batch of "
+                f"{len(jobs)} rejected")
+        if spill and self._saturated():
+            return self._busy_reply(
+                f"spill refused: saturated, {self._pending_jobs} jobs "
+                f"pending")
         if self.client_quota is not None and client is not None:
             client_pending = self._pending_by_client.get(client, 0)
             if client_pending + len(jobs) > self.client_quota:
@@ -411,16 +434,11 @@ class WarpGateway:
                             help_text="Submissions rejected by the "
                                       "per-client quota")
                 return {
-                    "ok": False,
-                    "error": "busy",
-                    "code": 429,
-                    "message": (f"client {client!r} is over quota: "
-                                f"{client_pending} jobs pending, quota "
-                                f"{self.client_quota}, batch of "
-                                f"{len(jobs)} rejected"),
-                    "pending_jobs": self._pending_jobs,
-                    "queue_depth": self._pending_jobs,
-                    "queue_limit": self.queue_limit,
+                    **self._busy_reply(
+                        f"client {client!r} is over quota: "
+                        f"{client_pending} jobs pending, quota "
+                        f"{self.client_quota}, batch of {len(jobs)} "
+                        f"rejected"),
                     "client": client,
                     "client_pending": client_pending,
                     "client_quota": self.client_quota,
@@ -588,7 +606,8 @@ class WarpGateway:
         if forwarded_reply is not None:
             await protocol.write_frame(writer, forwarded_reply)
             return
-        busy = self._admit(jobs, client=client)
+        busy = self._admit(jobs, client=client,
+                           spill=bool(request.get("spill")))
         if busy is not None:
             await protocol.write_frame(writer, busy)
             return
@@ -604,60 +623,83 @@ class WarpGateway:
 
     async def _maybe_forward(self, request: Dict,
                              jobs: List[WarpJob]) -> Optional[Dict]:
-        """Ring-aware forwarding: a single-job ``route="ring"`` batch
-        that this gateway does not own under its (authoritative) ring is
-        relayed to the ring owner — the stale-ring fallback that keeps a
-        client with an old membership view hitting warm caches.
+        """Ring-aware forwarding of a single-job ``route="ring"`` batch.
 
-        The ``forwarded`` hop guard caps the relay at one hop: the
-        owner executes even if *its* ring disagrees, so two gateways
+        * **stale ring** — this gateway does not own the key under its
+          (authoritative) ring: the batch is relayed to the ring owner,
+          which keeps a client with an old membership view hitting warm
+          caches (``warp_mesh_forwards_total``).
+        * **spill** — this gateway owns the key but is saturated: the
+          batch is relayed, marked ``spill``, to the key's next distinct
+          ring successor, which refuses it if it is saturated or
+          draining (``warp_mesh_spills_total``).  Cache affinity
+          survives: the successor's stage cache or a peer fetch serves
+          the same entries, so the report is identical.
+
+        The ``forwarded`` hop guard caps either relay at one hop: the
+        target executes even if *its* ring disagrees, so two gateways
         with momentarily divergent views can never forward in a loop.
-        Returns the owner's reply (tagged ``forwarded_to``), or ``None``
-        to execute locally — also the fallback when the owner cannot be
-        reached or cannot take the batch.
+        Returns the target's reply (tagged ``forwarded_to``), or
+        ``None`` to execute locally — also the fallback when the target
+        cannot be reached or cannot take the batch.
         """
         if (request.get("route") != "ring" or request.get("forwarded")
                 or self._draining or len(jobs) != 1
                 or self.mesh is None or len(self.mesh.ring) <= 1):
             return None
-        owner = self.mesh.ring.node_for(repr(jobs[0].dedup_key()))
-        if owner is None or owner == self.mesh.self_address:
+        owners = self.mesh.ring.nodes_for(repr(jobs[0].dedup_key()), 2)
+        spill = owners[0] == self.mesh.self_address
+        if spill and (len(owners) < 2 or not self._saturated()):
             return None
-        reply = await asyncio.get_running_loop().run_in_executor(
-            None, self._forward_submit, owner, request)
+        target = owners[1] if spill else owners[0]
+        reply, outcome = await asyncio.get_running_loop().run_in_executor(
+            None, self._forward_submit, target, request, spill)
         if obs.ACTIVE is not None:
-            obs.inc("warp_mesh_forwards_total",
-                    result="relayed" if reply is not None else "local",
-                    help_text="Ring-routed submissions forwarded to the "
-                              "ring owner, by outcome")
+            if spill:
+                obs.inc("warp_mesh_spills_total", result=outcome,
+                        help_text="Ring-routed submissions a saturated "
+                                  "owner spilled to its ring successor, "
+                                  "by outcome")
+            else:
+                obs.inc("warp_mesh_forwards_total",
+                        result="relayed" if reply is not None else "local",
+                        help_text="Ring-routed submissions forwarded to "
+                                  "the ring owner, by outcome")
         return reply
 
-    def _forward_submit(self, owner: str, request: Dict) -> Optional[Dict]:
-        """Blocking side of the relay (runs off the event loop)."""
-        address = parse_address(owner)
+    def _forward_submit(self, target: str, request: Dict, spill: bool,
+                        ) -> Tuple[Optional[Dict], str]:
+        """Blocking side of the relay (runs off the event loop): the
+        target's reply (or ``None``) and the outcome, one of
+        ``relayed``, ``refused`` (alive but cannot take it) or
+        ``unreachable`` (dropped from the ring view)."""
+        address = parse_address(target)
         forwarded = dict(request)
         forwarded["forwarded"] = True
+        if spill:
+            forwarded["spill"] = True
         try:
             if chaos.ACTIVE_PLAN is not None:
-                chaos.fire(chaos.SITE_MESH_MEMBER, label=owner)
+                chaos.fire(chaos.SITE_MESH_MEMBER, label=target)
             with _pooled_client(address, FORWARD_TIMEOUT) as forward_client:
-                reply = forward_client._round_trip(forwarded)
-        except (protocol.GatewayBusyError, protocol.GatewayDrainingError,
-                protocol.RemoteError):
-            return None          # owner is alive but can't take it: run local
-        except ConnectionResetError:
-            # Injected (or real) member failure mid-conversation.
-            _drop_pooled_client(address)
-            self.mesh.drop_member(owner)
-            return None
+                try:
+                    reply = forward_client._round_trip(forwarded)
+                except (protocol.GatewayBusyError,
+                        protocol.GatewayDrainingError,
+                        protocol.RemoteError):
+                    # A complete refusal frame: the connection stays
+                    # pooled, and the job runs here.
+                    return None, "refused"
         except (protocol.ProtocolError, TimeoutError, ConnectionError,
                 OSError, EOFError):
+            # Injected (or real) member failure, mid-conversation or at
+            # connect time.
             _drop_pooled_client(address)
-            self.mesh.drop_member(owner)
-            return None
+            self.mesh.drop_member(target)
+            return None, "unreachable"
         reply = dict(reply)
-        reply["forwarded_to"] = owner
-        return reply
+        reply["forwarded_to"] = target
+        return reply, "relayed"
 
     async def _verb_mesh_join(self, request: Dict, writer) -> None:
         address = request.get("address")

@@ -129,12 +129,24 @@ class HashRing:
 
     def node_for(self, key: str) -> Optional[str]:
         """The member owning ``key`` (``None`` on an empty ring)."""
-        if not self._positions:
-            return None
-        index = bisect.bisect_right(self._keys, digest_int(key))
-        if index == len(self._positions):
-            index = 0           # wrap: past the last vnode -> the first
-        return self._positions[index][1]
+        owners = self.nodes_for(key, 1)
+        return owners[0] if owners else None
+
+    def nodes_for(self, key: str, count: int) -> List[str]:
+        """Up to ``count`` distinct members in ring order from ``key``'s
+        position: the owner first, then its successors (the members a
+        saturated owner spills to)."""
+        total = len(self._positions)
+        start = bisect.bisect_right(self._keys, digest_int(key))
+        found: List[str] = []
+        for offset in range(total):
+            # Wrap: past the last vnode comes the first.
+            node = self._positions[(start + offset) % total][1]
+            if node not in found:
+                found.append(node)
+                if len(found) == count:
+                    break
+        return found
 
 
 class GatewayMesh:

@@ -90,6 +90,8 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
+import signal
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -507,7 +509,14 @@ def _cmd_serve(args) -> int:
           + (f", store {args.store}" if args.store else "")
           + (f", mesh peers {','.join(args.peer)}" if args.peer else "")
           + (", telemetry off" if args.no_telemetry else "")
-          + "]; stop with the shutdown verb or Ctrl-C", flush=True)
+          + "]; stop with the shutdown verb, Ctrl-C or SIGTERM", flush=True)
+    # SIGTERM tears down like Ctrl-C: the pool workers are shut down
+    # with the service.  Killed outright instead, they outlive the
+    # gateway and keep the inherited listening socket bound.  Forked
+    # workers go back to the default action, so SIGTERM still ends one.
+    signal.signal(signal.SIGTERM, lambda *_: gateway.request_stop())
+    os.register_at_fork(after_in_child=lambda: signal.signal(
+        signal.SIGTERM, signal.SIG_DFL))
     try:
         thread.join()
     except KeyboardInterrupt:

@@ -177,6 +177,33 @@ class TestSpanSink:
         _, tail = sink.since(0)
         assert len(tail) == 4
 
+    def test_since_reads_only_the_spans_after_the_cursor(self):
+        sink = SpanSink(capacity=4)
+        for i in range(10):
+            sink.record(Span(name=f"s{i}", trace_id="t", span_id=str(i),
+                             parent_id=None, start_s=float(i),
+                             duration_s=0.0))
+
+        def names(cursor):
+            new_cursor, spans = sink.since(cursor)
+            assert new_cursor == 10
+            return [span.name for span in spans]
+
+        # Older than the ring: everything it still holds.
+        assert names(0) == names(5) == ["s6", "s7", "s8", "s9"]
+        # Inside the ring: only the spans at or after the cursor.
+        assert names(6) == ["s6", "s7", "s8", "s9"]
+        assert names(8) == ["s8", "s9"]
+        # At (or past) the cursor: nothing new.
+        assert names(sink.cursor) == []
+        assert names(12) == []
+        # Cleared, then refilled: sequence numbers continue.
+        sink.clear()
+        sink.record(Span(name="s10", trace_id="t", span_id="10",
+                         parent_id=None, start_s=10.0, duration_s=0.0))
+        assert sink.since(0) == (11, sink.snapshot())
+        assert sink.since(11) == (11, [])
+
     def test_jsonl_roundtrip_skips_torn_lines(self, tmp_path):
         sink = SpanSink()
         with obs.active_telemetry():

@@ -7,7 +7,11 @@ import contextlib
 import json
 import os
 import pickle
+import signal
 import socket
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
@@ -43,6 +47,7 @@ from repro.server import (
     start_gateway_thread,
 )
 from repro.server import protocol
+from repro.server.client import parse_address
 from repro.service import ServiceReport, WarpJob, WarpService, execute_job
 from repro.service.cli import load_job_file, main
 from repro.service.jobs import ServiceResult
@@ -676,6 +681,21 @@ class TestHashRing:
         orphaned = sum(1 for key in keys if before[key] == lost)
         assert orphaned <= 2 * len(keys) / (len(ring) + 1)
 
+    def test_nodes_for_walks_distinct_successors_from_the_owner(self):
+        nodes = [f"10.0.0.{index}:7877" for index in range(1, 5)]
+        ring = HashRing(nodes)
+        for index in range(200):
+            key = f"job-{index}"
+            order = ring.nodes_for(key, len(nodes) + 2)
+            assert order[0] == ring.node_for(key)
+            assert sorted(order) == sorted(nodes)   # each member once
+            assert ring.nodes_for(key, 2) == order[:2]
+            # The successor is the owner the key moves to when the
+            # owner leaves: a spill goes where a failover would.
+            smaller = HashRing([node for node in nodes if node != order[0]])
+            assert smaller.node_for(key) == order[1]
+        assert HashRing().nodes_for("anything", 2) == []
+
     def test_empty_ring_and_membership_queries(self):
         ring = HashRing()
         assert ring.node_for("anything") is None
@@ -885,6 +905,56 @@ def _stored_service(path):
         store=DiskArtifactStore(path)))
 
 
+class _GatedService(WarpService):
+    """A serial service over its own disk store whose ``hold`` jobs block
+    on :attr:`release`: each one keeps its gateway saturated (one
+    admitted job on a serial service) for as long as a test needs."""
+
+    def __init__(self, path):
+        super().__init__(workers=0, artifact_cache=CadArtifactCache(
+            store=DiskArtifactStore(path)))
+        self.release = threading.Event()
+
+    def run(self, jobs):
+        if any(job.name.startswith("hold") for job in jobs):
+            self.release.wait(timeout=120)
+        return super().run(jobs)
+
+
+def _hold(gateway):
+    """Saturate ``gateway`` with a held job (admitted before returning)."""
+    with GatewayClient(gateway.address) as client:
+        client.submit([WarpJob(name="hold", benchmark="brev", small=True)],
+                      wait=False)
+
+
+def _ring_submit(address, job):
+    """One raw ``route="ring"`` submission: the reply frame, so tests can
+    see the ``forwarded_to`` tag."""
+    with GatewayClient(address) as client:
+        return client._round_trip({
+            "verb": "submit", "wait": True, "route": "ring",
+            "jobs": protocol.jobs_to_plain([job])})
+
+
+def _job_owned_by(owner, members):
+    ring = HashRing(members)
+    for index in range(256):
+        job = WarpJob(name=f"owned-{index}", benchmark="brev", small=True,
+                      max_instructions=150_000 + index)
+        if ring.node_for(repr(job.dedup_key())) == owner:
+            return job
+    raise AssertionError(f"no probe job owned by {owner}")
+
+
+def _spill_counts(address):
+    with GatewayClient(address) as client:
+        families = client.metrics(include_spans=False)["metrics"]
+    return {sample["labels"]["result"]: sample["value"]
+            for sample in families.get("warp_mesh_spills_total",
+                                       {}).get("samples", ())}
+
+
 class TestGatewayMesh:
     def test_join_and_peers_verbs_mesh_two_gateways(self, tmp_path):
         with running_gateway(service=_stored_service(tmp_path / "g1")) as g1:
@@ -950,34 +1020,19 @@ class TestGatewayMesh:
         with running_gateway(service=_stored_service(tmp_path / "g1")) as g1:
             with running_gateway(service=_stored_service(tmp_path / "g2"),
                                  peers=[g1.address]) as g2:
-                ring = HashRing([g1.address, g2.address])
-                owned = {}
-                for index in range(64):
-                    job = WarpJob(name=f"probe-{index}", benchmark="brev",
-                                  small=True,
-                                  max_instructions=150_000 + index)
-                    owner = ring.node_for(repr(job.dedup_key()))
-                    owned.setdefault(owner, job)
-                    if len(owned) == 2:
-                        break
-                assert set(owned) == {g1.address, g2.address}
-                with GatewayClient(g2.address) as client:
-                    # Not the owner: relayed to g1, reply says so.
-                    relayed = client._round_trip({
-                        "verb": "submit", "wait": True, "route": "ring",
-                        "jobs": protocol.jobs_to_plain(
-                            [owned[g1.address]])})
-                    assert relayed.get("forwarded_to") == g1.address
-                    report = ServiceReport.from_plain(relayed["report"])
-                    assert report.num_failed == 0
-                    # The owner executes locally: no forward tag.
-                    local = client._round_trip({
-                        "verb": "submit", "wait": True, "route": "ring",
-                        "jobs": protocol.jobs_to_plain(
-                            [owned[g2.address]])})
-                    assert "forwarded_to" not in local
-                    assert ServiceReport.from_plain(
-                        local["report"]).num_failed == 0
+                members = [g1.address, g2.address]
+                # Not the owner: relayed to g1, reply says so.
+                relayed = _ring_submit(g2.address,
+                                       _job_owned_by(g1.address, members))
+                assert relayed.get("forwarded_to") == g1.address
+                report = ServiceReport.from_plain(relayed["report"])
+                assert report.num_failed == 0
+                # The owner executes locally: no forward tag.
+                local = _ring_submit(g2.address,
+                                     _job_owned_by(g2.address, members))
+                assert "forwarded_to" not in local
+                assert ServiceReport.from_plain(
+                    local["report"]).num_failed == 0
 
     def test_status_and_metrics_carry_mesh_info_additively(self):
         """Satellite: replies gain a ``mesh`` block without any protocol
@@ -1047,6 +1102,115 @@ class TestGatewayMesh:
         assert remote.canonical() == local.canonical()
 
 
+class TestMeshSpill:
+    """Bounded-load ring routing: a saturated owner spills a ring-routed
+    job one hop to its ring successor, which may refuse it."""
+
+    @contextlib.contextmanager
+    def _mesh(self, tmp_path):
+        with running_gateway(service=_GatedService(tmp_path / "g1")) as g1:
+            with running_gateway(service=_GatedService(tmp_path / "g2"),
+                                 peers=[g1.address]) as g2:
+                try:
+                    yield g1, g2
+                finally:
+                    # Teardown waits for admitted jobs: let held ones go.
+                    g1.service.release.set()
+                    g2.service.release.set()
+
+    def test_saturated_owner_spills_to_its_successor(self, tmp_path):
+        with self._mesh(tmp_path) as (g1, g2):
+            job = _job_owned_by(g1.address, [g1.address, g2.address])
+            assert g1.mesh.ring.nodes_for(repr(job.dedup_key()), 2) \
+                == [g1.address, g2.address]
+            _hold(g1)
+            reply = _ring_submit(g1.address, job)
+            assert reply.get("forwarded_to") == g2.address
+            spilled = ServiceReport.from_plain(reply["report"])
+            counts = _spill_counts(g1.address)
+        assert spilled.num_failed == 0
+        # Bit-identical to an unspilled run of the same job.
+        local = WarpService(workers=0,
+                            artifact_cache=CadArtifactCache()).run([job])
+        assert spilled.canonical() == local.canonical()
+        assert counts == {"relayed": 1.0}
+
+    def test_both_saturated_runs_locally(self, tmp_path):
+        with self._mesh(tmp_path) as (g1, g2):
+            job = _job_owned_by(g1.address, [g1.address, g2.address])
+            _hold(g1)
+            _hold(g2)
+            reply = _ring_submit(g1.address, job)
+            assert "forwarded_to" not in reply
+            assert ServiceReport.from_plain(reply["report"]).num_failed == 0
+            assert _spill_counts(g1.address) == {"refused": 1.0}
+            # The refusal left g2 untouched: only its held job is pending.
+            assert g2._pending_jobs == 1
+
+    def test_draining_successor_refuses_the_spill(self, tmp_path):
+        with self._mesh(tmp_path) as (g1, g2):
+            job = _job_owned_by(g1.address, [g1.address, g2.address])
+            _hold(g2)            # keeps g2 draining instead of stopped
+            with GatewayClient(g2.address) as client:
+                client.shutdown()
+            _hold(g1)
+            reply = _ring_submit(g1.address, job)
+            assert "forwarded_to" not in reply
+            assert ServiceReport.from_plain(reply["report"]).num_failed == 0
+            assert _spill_counts(g1.address) == {"refused": 1.0}
+
+    def test_unreachable_successor_runs_locally(self, tmp_path):
+        with running_gateway(service=_GatedService(tmp_path / "g1")) as g1:
+            with running_gateway(service=_GatedService(tmp_path / "g2"),
+                                 peers=[g1.address]) as g2:
+                members = [g1.address, g2.address]
+            # g2 is gone; g1's ring still lists it.
+            assert g2.address in g1.mesh.ring
+            job = _job_owned_by(g1.address, members)
+            _hold(g1)
+            try:
+                reply = _ring_submit(g1.address, job)
+                spills = _spill_counts(g1.address)
+            finally:
+                g1.service.release.set()
+            assert "forwarded_to" not in reply
+            assert ServiceReport.from_plain(reply["report"]).num_failed == 0
+            assert spills == {"unreachable": 1.0}
+            assert g2.address not in g1.mesh.ring
+
+    def test_sequential_submissions_are_never_spilled(self, tmp_path):
+        with self._mesh(tmp_path) as (g1, g2):
+            members = [g1.address, g2.address]
+            ring = HashRing(members)
+            for index in range(6):
+                job = WarpJob(name=f"seq-{index}", benchmark="brev",
+                              small=True, max_instructions=150_000 + index)
+                owner = ring.node_for(repr(job.dedup_key()))
+                reply = _ring_submit(owner, job)
+                assert "forwarded_to" not in reply, job.name
+            for gateway in (g1, g2):
+                assert _spill_counts(gateway.address) == {}
+
+
+def _catches(pid, signum):
+    """Whether process ``pid`` has a handler installed for ``signum``."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("SigCgt:"):
+            return bool(int(line.split()[1], 16) >> (signum - 1) & 1)
+    raise AssertionError(f"no SigCgt line for process {pid}")
+
+
+def _wait_gone(pid, timeout=10.0):
+    deadline = time.time() + timeout
+    while True:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        assert time.time() < deadline, f"process {pid} is still running"
+        time.sleep(0.05)
+
+
 # ----------------------------------------------------------------------- CLI verbs
 class TestServerCli:
     def test_suite_stages_flag_threads_into_jobs(self, tmp_path):
@@ -1108,6 +1272,49 @@ class TestServerCli:
                      "--gateway", f"127.0.0.1:{dead_port}", "--quiet"])
         assert code == 3
         assert "gateway" in capsys.readouterr().err
+
+    def test_serve_sigterm_shuts_down_pool_workers(self):
+        """SIGTERM tears ``repro-warp serve`` down like Ctrl-C: its pool
+        worker exits with it, so the port can be bound again at once.  A
+        pool worker keeps the default SIGTERM action of its own."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                                   if env.get("PYTHONPATH") else "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service.cli", "serve",
+             "--port", "0", "--workers", "1", "--no-telemetry"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True)
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, line
+            address = line.split("listening on ")[1].split()[0]
+            with GatewayClient(address) as client:
+                report = client.submit(
+                    [WarpJob(name="j", benchmark="brev", small=True)])
+            worker = report.results[0].worker_pid
+            assert worker not in (0, proc.pid)
+            if Path(f"/proc/{worker}/status").exists():
+                assert _catches(proc.pid, signal.SIGTERM)
+                assert not _catches(worker, signal.SIGTERM)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.terminate()
+                try:
+                    proc.wait(timeout=30)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait(timeout=10)
+            proc.stdout.close()
+        _wait_gone(worker)
+        with socket.socket() as rebind:
+            # A restarted gateway binds with SO_REUSEADDR (asyncio's
+            # default); only a live listener still holding it can fail.
+            rebind.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            rebind.bind(parse_address(address))
 
     def test_remote_suite_cli(self):
         with running_gateway(service=WarpService(
